@@ -116,52 +116,97 @@ fn item_extent(toks: &[Tok], i: usize) -> (u32, u32, usize) {
     (start_line, end, toks.len())
 }
 
-/// Idents inside the attribute starting at `#` index `i` (expects
-/// `toks[i] == "#"`, `toks[i+1] == "["`). Returns (idents, index past `]`).
-fn attr_idents(toks: &[Tok], i: usize) -> Option<(Vec<String>, usize)> {
+/// The tokens inside the attribute starting at `#` index `i` (expects
+/// `toks[i] == "#"`, `toks[i+1] == "["`). Returns (body, index past `]`).
+fn attr_body(toks: &[Tok], i: usize) -> Option<(&[Tok], usize)> {
     if !is(toks.get(i)?, TokKind::Punct, "#") || !is(toks.get(i + 1)?, TokKind::Punct, "[") {
         return None;
     }
     let mut depth = 0i64;
-    let mut idents = Vec::new();
-    let mut k = i + 1;
-    while k < toks.len() {
-        let t = &toks[k];
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Punct, "[") => depth += 1,
-            (TokKind::Punct, "]") => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((idents, k + 1));
+    for (k, t) in toks.iter().enumerate().skip(i + 1) {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "[" => depth += 1,
+                "]" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some((&toks[i + 2..k], k + 1));
+                    }
                 }
+                _ => {}
             }
-            (TokKind::Ident, _) => idents.push(t.text.clone()),
-            _ => {}
         }
-        k += 1;
     }
     None
 }
 
-/// `#[cfg(test)]` (any cfg(...) mentioning `test`) and `#[test]` item
-/// ranges. Nested occurrences simply produce nested ranges.
+/// `toks` is `name ( args )`: the tokens between the parentheses.
+fn call_args<'t>(toks: &'t [Tok], name: &str) -> Option<&'t [Tok]> {
+    match toks {
+        [head, open, args @ .., close]
+            if is(head, TokKind::Ident, name)
+                && is(open, TokKind::Punct, "(")
+                && is(close, TokKind::Punct, ")") =>
+        {
+            Some(args)
+        }
+        _ => None,
+    }
+}
+
+/// Does the cfg predicate `pred` hold only in test builds? True for
+/// `test` and for `all(..)` with such an argument; `not(test)`,
+/// `any(test, ..)` and everything else may hold in a production build.
+fn implies_test(pred: &[Tok]) -> bool {
+    if let [t] = pred {
+        return is(t, TokKind::Ident, "test");
+    }
+    let Some(args) = call_args(pred, "all") else {
+        return false;
+    };
+    let mut depth = 0i64;
+    args.split(|t| {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" => depth += 1,
+                ")" => depth -= 1,
+                "," => return depth == 0,
+                _ => {}
+            }
+        }
+        false
+    })
+    .any(implies_test)
+}
+
+/// Is this attribute body `test` or `cfg(p)` with `p` implying `test`?
+/// `cfg_attr(test, ..)` only changes attributes, never whether the item
+/// is compiled, so it exempts nothing.
+fn is_test_attr(body: &[Tok]) -> bool {
+    match body {
+        [t] => is(t, TokKind::Ident, "test"),
+        _ => call_args(body, "cfg").is_some_and(implies_test),
+    }
+}
+
+/// Ranges of items compiled only for tests: under `#[test]` or a
+/// `#[cfg(..)]` whose predicate implies `test`. Nested occurrences
+/// simply produce nested ranges.
 fn test_ranges(lexed: &Lexed) -> Vec<(u32, u32)> {
     let toks = &lexed.toks;
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        let Some((idents, mut after)) = attr_idents(toks, i) else {
+        let Some((body, mut after)) = attr_body(toks, i) else {
             i += 1;
             continue;
         };
-        let is_test_attr = idents.iter().any(|s| s == "test")
-            && (idents[0] == "cfg" || idents[0] == "test" || idents[0] == "cfg_attr");
-        if !is_test_attr {
+        if !is_test_attr(body) {
             i = after;
             continue;
         }
         // Skip any further attributes between this one and the item.
-        while let Some((_, next)) = attr_idents(toks, after) {
+        while let Some((_, next)) = attr_body(toks, after) {
             after = next;
         }
         if after < toks.len() {
@@ -334,6 +379,34 @@ mod tests {
         assert!(f.in_test_code(4));
         assert!(f.in_test_code(7));
         assert!(f.in_test_code(9));
+    }
+
+    /// Only predicates that hold in test builds alone exempt an item.
+    #[test]
+    fn cfg_predicates_are_evaluated() {
+        let exempt = |attr: &str| {
+            let f = SourceFile::new("x.rs".into(), &format!("{attr}\nfn f() {{}}\n"));
+            f.in_test_code(2)
+        };
+        for attr in [
+            "#[test]",
+            "#[cfg(test)]",
+            "#[cfg(all(test, feature = \"x\"))]",
+            "#[cfg(all(unix, all(test, debug_assertions)))]",
+        ] {
+            assert!(exempt(attr), "{attr} should exempt");
+        }
+        for attr in [
+            "#[cfg(not(test))]",
+            "#[cfg(any(test, unix))]",
+            "#[cfg(all(not(test), unix))]",
+            "#[cfg_attr(test, allow(dead_code))]",
+            "#[cfg_attr(not(test), allow(dead_code))]",
+            "#[cfg(feature = \"test\")]",
+            "#[cfg(all(test_x, unix))]",
+        ] {
+            assert!(!exempt(attr), "{attr} should not exempt");
+        }
     }
 
     #[test]

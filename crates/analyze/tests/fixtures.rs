@@ -13,6 +13,8 @@ const ALLOC_BAD: &str = include_str!("fixtures/alloc_bad.rs");
 const ALLOC_CLEAN: &str = include_str!("fixtures/alloc_clean.rs");
 const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_CLEAN: &str = include_str!("fixtures/panic_clean.rs");
+const CFG_BAD: &str = include_str!("fixtures/cfg_bad.rs");
+const CFG_CLEAN: &str = include_str!("fixtures/cfg_clean.rs");
 
 fn run(path: &str, text: &str, cfg_text: &str) -> Report {
     let cfg = config::parse(cfg_text).expect("fixture config parses");
@@ -165,6 +167,31 @@ fn alloc_clean_fixture_cold_and_test_scopes_are_exempt() {
 #[test]
 fn alloc_rule_only_applies_to_registered_modules() {
     let report = run("crates/net/src/other.rs", ALLOC_BAD, ALLOC_CFG);
+    assert!(report.is_clean(), "{:?}", report.findings);
+}
+
+/// Only items compiled solely for tests (`#[test]`, `cfg(test)`,
+/// `cfg(all(test, ..))`) are exempt; `not(test)`, `any(test, ..)` and
+/// `cfg_attr(test, ..)` items are production code.
+#[test]
+fn cfg_bad_fixture_checks_production_items_that_mention_test() {
+    let cfg = "[hot_alloc]\nenabled = true\nmodules = [\"crates/net/src/cfg_bad.rs\"]\n";
+    let report = run("crates/net/src/cfg_bad.rs", CFG_BAD, cfg);
+    assert_findings(
+        &report,
+        "hot_alloc",
+        &[
+            (6, "alloc: `.to_vec()`"),
+            (11, "alloc: `format!`"),
+            (16, "alloc: `Vec::new`"),
+        ],
+    );
+}
+
+#[test]
+fn cfg_clean_fixture_test_only_items_are_exempt() {
+    let cfg = "[hot_alloc]\nenabled = true\nmodules = [\"crates/net/src/cfg_clean.rs\"]\n";
+    let report = run("crates/net/src/cfg_clean.rs", CFG_CLEAN, cfg);
     assert!(report.is_clean(), "{:?}", report.findings);
 }
 

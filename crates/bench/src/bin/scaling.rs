@@ -574,7 +574,7 @@ fn main() {
              \"stats_match\": {}, \"completed\": {}}},\n  \
              \"crash_recovery\": {{\"dims\": \"2x1x1\", \"checkpoint_at\": {}, \
              \"checkpoint_bytes\": {}, \"tripped_at\": {}, \"diagnostic_captured\": {}, \
-             \"recovered\": {}, \"stats_match\": {}}},\n  \"host_cores\": {cores}\n}}\n",
+             \"recovered\": {}, \"stats_match\": {}}}\n}}\n",
             p.seed,
             p.cycles,
             p.report.packets_corrupted,
@@ -597,6 +597,9 @@ fn main() {
             r.stats_match
         );
         std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
+        // The host's core count stays out of the record: CI diffs it
+        // byte-for-byte against the committed copy on runners of any size.
+        eprintln!("host_cores {cores}");
         println!("wrote BENCH_faults.json");
         return;
     }

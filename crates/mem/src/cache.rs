@@ -12,6 +12,17 @@
 //! per line. Each line carries a `writable` bit derived from the page's
 //! block-status bits at fill time, so stores to locally-cached READ-ONLY
 //! remote data fault even on a cache hit.
+//!
+//! Storage is one zeroed `Vec<u128>`: per line, a metadata cell (tag,
+//! line-aligned physical base, and the valid/dirty/writable bits in the
+//! base's free low bits) followed by the line's eight words packed as in
+//! [`crate::dram`]. An all-zero metadata cell is an invalid line, so a
+//! new cache is a zeroed allocation whose pages are touched only when a
+//! line is filled. Keeping metadata and data in one allocation is
+//! deliberate: a separate metadata vector is small enough to land on the
+//! malloc heap, where the memory freed by dropping one machine fragments
+//! rather than returning to the OS, and the heap of a process that builds
+//! and drops machines repeatedly then grows with every build.
 
 use crate::dram::MemWord;
 use mm_faults::{CkptError, Dec, Enc};
@@ -45,33 +56,38 @@ impl Default for CacheConfig {
     }
 }
 
-/// One direct-mapped cache line.
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
-    writable: bool,
-    /// Physical address of the line base, captured at fill time so dirty
-    /// victims can be written back without re-translating (the cache is
-    /// virtually tagged; the victim's LTLB entry may be gone).
-    pa_base: u64,
-    /// Line contents, inline: the per-access data path costs one cache
-    /// array index, not an extra heap hop per line.
-    data: [MemWord; LINE_WORDS as usize],
+/// Cells per line in the cache array: one metadata cell, then the
+/// line's [`LINE_WORDS`] packed data words.
+const LINE_CELLS: usize = 1 + LINE_WORDS as usize;
+
+/// Metadata flag bits. The line base address is line-aligned, so its low
+/// three bits are free to hold them. `DIRTY` is only ever set on a
+/// `VALID` line.
+const VALID: u128 = 1;
+const DIRTY: u128 = 2;
+const WRITABLE: u128 = 4;
+
+/// The metadata cell of a valid line: `tag` in the high 64 bits, the
+/// line-aligned physical base below it, the flags in the low bits. An
+/// all-zero cell is an invalid line.
+fn meta(tag: u64, pa_base: u64, dirty: bool, writable: bool) -> u128 {
+    u128::from(tag) << 64
+        | u128::from(pa_base)
+        | VALID
+        | if dirty { DIRTY } else { 0 }
+        | if writable { WRITABLE } else { 0 }
 }
 
-impl Line {
-    fn empty() -> Line {
-        Line {
-            valid: false,
-            tag: 0,
-            dirty: false,
-            writable: false,
-            pa_base: 0,
-            data: [MemWord::default(); LINE_WORDS as usize],
-        }
-    }
+/// The tag of a metadata cell.
+#[allow(clippy::cast_possible_truncation)]
+fn meta_tag(m: u128) -> u64 {
+    (m >> 64) as u64
+}
+
+/// The physical line base of a metadata cell.
+#[allow(clippy::cast_possible_truncation)]
+fn meta_pa(m: u128) -> u64 {
+    m as u64 & !(LINE_WORDS - 1)
 }
 
 /// Result of attempting a store hit.
@@ -115,12 +131,15 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Line `i` occupies `cells[i * LINE_CELLS..][..LINE_CELLS]`: its
+    /// metadata cell, then its words packed by [`MemWord::pack`].
+    cells: Vec<u128>,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Build an empty cache.
+    /// Build an empty cache. The array is a zeroed allocation, so every
+    /// line starts invalid and no page of it is touched here.
     ///
     /// # Panics
     ///
@@ -134,7 +153,7 @@ impl Cache {
             "line count must be a power of two"
         );
         Cache {
-            lines: (0..n).map(|_| Line::empty()).collect(),
+            cells: vec![0u128; n as usize * LINE_CELLS],
             cfg,
             stats: CacheStats::default(),
         }
@@ -172,74 +191,86 @@ impl Cache {
         va / LINE_WORDS / self.cfg.num_lines()
     }
 
-    fn line_base(&self, va: u64) -> u64 {
-        va & !(LINE_WORDS - 1)
+    /// The index of the metadata cell of the line holding `va`, when
+    /// that line is resident.
+    fn hit(&self, va: u64) -> Option<usize> {
+        let base = self.index_of(va) * LINE_CELLS;
+        let m = self.cells[base];
+        (m & VALID != 0 && meta_tag(m) == self.tag_of(va)).then_some(base)
+    }
+
+    /// The index of the cell holding the word at `va` in the line whose
+    /// metadata cell is at `base`.
+    fn word_cell(base: usize, va: u64) -> usize {
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            base + 1 + (va % LINE_WORDS) as usize
+        }
+    }
+
+    /// The line whose metadata cell is at `base`, as a write-back victim.
+    fn victim(&mut self, base: usize, va: u64) -> Victim {
+        self.stats.writebacks += 1;
+        Victim {
+            va,
+            pa: meta_pa(self.cells[base]),
+            data: std::array::from_fn(|k| MemWord::unpack(self.cells[base + 1 + k])),
+        }
     }
 
     /// Is the word at `va` present?
     #[must_use]
     pub fn contains(&self, va: u64) -> bool {
-        let line = &self.lines[self.index_of(va)];
-        line.valid && line.tag == self.tag_of(va)
+        self.hit(va).is_some()
     }
 
     /// Read a word on a hit. Counts a read hit or miss.
     pub fn read(&mut self, va: u64) -> Option<MemWord> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &self.lines[idx];
-        if line.valid && line.tag == tag {
+        let word = self.peek(va);
+        if word.is_some() {
             self.stats.read_hits += 1;
-            Some(line.data[(va % LINE_WORDS) as usize])
         } else {
             self.stats.read_misses += 1;
-            None
         }
+        word
     }
 
     /// Write a word on a hit. Counts a write hit or miss.
     pub fn write(&mut self, va: u64, w: MemWord) -> StoreOutcome {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            if !line.writable {
-                return StoreOutcome::NotWritable;
-            }
-            self.stats.write_hits += 1;
-            line.data[(va % LINE_WORDS) as usize] = w;
-            line.dirty = true;
-            StoreOutcome::Written
-        } else {
+        let Some(base) = self.hit(va) else {
             self.stats.write_misses += 1;
-            StoreOutcome::Miss
+            return StoreOutcome::Miss;
+        };
+        if self.cells[base] & WRITABLE == 0 {
+            return StoreOutcome::NotWritable;
         }
+        self.stats.write_hits += 1;
+        self.cells[Self::word_cell(base, va)] = w.pack();
+        self.cells[base] |= DIRTY;
+        StoreOutcome::Written
     }
 
     /// Update only the synchronization bit of a resident word (used by
     /// synchronizing loads; requires a writable line, like any mutation).
     pub fn set_sync(&mut self, va: u64, sync: bool) -> StoreOutcome {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            if !line.writable {
-                return StoreOutcome::NotWritable;
-            }
-            line.data[(va % LINE_WORDS) as usize].sync = sync;
-            line.dirty = true;
-            StoreOutcome::Written
-        } else {
-            StoreOutcome::Miss
+        let Some(base) = self.hit(va) else {
+            return StoreOutcome::Miss;
+        };
+        if self.cells[base] & WRITABLE == 0 {
+            return StoreOutcome::NotWritable;
         }
+        let cell = &mut self.cells[Self::word_cell(base, va)];
+        *cell = MemWord {
+            sync,
+            ..MemWord::unpack(*cell)
+        }
+        .pack();
+        self.cells[base] |= DIRTY;
+        StoreOutcome::Written
     }
 
     /// Install the line containing `va`, whose physical base is `pa_base`.
     /// Returns the evicted dirty line, if any, for write-back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly [`LINE_WORDS`] long.
     pub fn fill(
         &mut self,
         va: u64,
@@ -248,28 +279,21 @@ impl Cache {
         writable: bool,
     ) -> Option<Victim> {
         let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let num_lines = self.cfg.num_lines();
-        let line = &mut self.lines[idx];
-        let victim = if line.valid && line.dirty {
-            self.stats.writebacks += 1;
-            let victim_va = (line.tag * num_lines + idx as u64) * LINE_WORDS;
-            Some(Victim {
-                va: victim_va,
-                pa: line.pa_base,
-                data: line.data,
-            })
-        } else {
-            None
-        };
-        *line = Line {
-            valid: true,
-            tag,
-            dirty: false,
+        let base = idx * LINE_CELLS;
+        let m = self.cells[base];
+        let victim = (m & DIRTY != 0).then(|| {
+            let victim_va = (meta_tag(m) * self.cfg.num_lines() + idx as u64) * LINE_WORDS;
+            self.victim(base, victim_va)
+        });
+        self.cells[base] = meta(
+            self.tag_of(va),
+            pa_base & !(LINE_WORDS - 1),
+            false,
             writable,
-            pa_base: pa_base & !(LINE_WORDS - 1),
-            data,
-        };
+        );
+        for (cell, w) in self.cells[base + 1..base + LINE_CELLS].iter_mut().zip(data) {
+            *cell = w.pack();
+        }
         victim
     }
 
@@ -277,65 +301,51 @@ impl Cache {
     /// loaders, sync-precondition checks and firmware).
     #[must_use]
     pub fn peek(&self, va: u64) -> Option<MemWord> {
-        let line = &self.lines[self.index_of(va)];
-        if line.valid && line.tag == self.tag_of(va) {
-            Some(line.data[(va % LINE_WORDS) as usize])
-        } else {
-            None
-        }
+        let base = self.hit(va)?;
+        Some(MemWord::unpack(self.cells[Self::word_cell(base, va)]))
     }
 
     /// Overwrite a resident word without touching statistics or the
     /// writable bit (backdoor for loaders and firmware).
     pub fn poke(&mut self, va: u64, w: MemWord) -> bool {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            line.data[(va % LINE_WORDS) as usize] = w;
-            line.dirty = true;
-            true
-        } else {
-            false
-        }
+        let Some(base) = self.hit(va) else {
+            return false;
+        };
+        self.cells[Self::word_cell(base, va)] = w.pack();
+        self.cells[base] |= DIRTY;
+        true
     }
 
     /// Invalidate the line containing `va` (coherence). Returns the line's
     /// contents if it was dirty, so the caller can write it back.
     pub fn invalidate(&mut self, va: u64) -> Option<Victim> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let base = self.line_base(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            let dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            if dirty {
-                self.stats.writebacks += 1;
-                return Some(Victim {
-                    va: base,
-                    pa: line.pa_base,
-                    data: std::mem::take(&mut line.data),
-                });
-            }
-        }
-        None
+        let base = self.hit(va)?;
+        let victim =
+            (self.cells[base] & DIRTY != 0).then(|| self.victim(base, va & !(LINE_WORDS - 1)));
+        self.cells[base] = 0;
+        victim
     }
 
     /// Serialize every valid line plus the statistics into a checkpoint
     /// stream (invalid lines are skipped; restore re-empties them).
     pub fn save_state(&self, e: &mut Enc) {
         e.u64(self.cfg.num_lines());
-        let valid = self.lines.iter().filter(|l| l.valid).count();
-        e.usize(valid);
-        for (idx, l) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+        let valid = || {
+            self.cells
+                .chunks_exact(LINE_CELLS)
+                .enumerate()
+                .filter(|(_, line)| line[0] & VALID != 0)
+        };
+        e.usize(valid().count());
+        for (idx, line) in valid() {
+            let m = line[0];
             e.usize(idx);
-            e.u64(l.tag);
-            e.bool(l.dirty);
-            e.bool(l.writable);
-            e.u64(l.pa_base);
-            for w in &l.data {
+            e.u64(meta_tag(m));
+            e.bool(m & DIRTY != 0);
+            e.bool(m & WRITABLE != 0);
+            e.u64(meta_pa(m));
+            for &cell in &line[1..] {
+                let w = MemWord::unpack(cell);
                 e.u64(w.word.bits());
                 e.bool(w.word.is_pointer());
                 e.bool(w.sync);
@@ -358,7 +368,8 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// [`CkptError`] on truncated input or a geometry mismatch.
+    /// [`CkptError`] on truncated input, a geometry mismatch, an
+    /// out-of-range line index or a line base that is not line-aligned.
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let n = d.u64()?;
         if n != self.cfg.num_lines() {
@@ -367,38 +378,35 @@ impl Cache {
                 self.cfg.num_lines()
             )));
         }
-        for l in &mut self.lines {
-            *l = Line::empty();
-        }
+        self.cells.fill(0);
         for _ in 0..d.usize()? {
             let idx = d.usize()?;
-            if idx >= self.lines.len() {
+            if idx >= self.cells.len() / LINE_CELLS {
                 return Err(CkptError(format!("cache line index {idx} out of range")));
             }
             let tag = d.u64()?;
             let dirty = d.bool()?;
             let writable = d.bool()?;
             let pa_base = d.u64()?;
-            let mut data = [MemWord::default(); LINE_WORDS as usize];
-            for w in &mut data {
+            if pa_base % LINE_WORDS != 0 {
+                return Err(CkptError(format!(
+                    "cache line base {pa_base:#x} is not line-aligned"
+                )));
+            }
+            let base = idx * LINE_CELLS;
+            for k in 1..LINE_CELLS {
                 let bits = d.u64()?;
                 let ptr = d.bool()?;
                 let sync = d.bool()?;
                 let ecc = d.u8()?;
-                *w = MemWord {
+                self.cells[base + k] = MemWord {
                     word: mm_isa::word::Word::from_raw(bits, ptr),
                     sync,
                     ecc,
-                };
+                }
+                .pack();
             }
-            self.lines[idx] = Line {
-                valid: true,
-                tag,
-                dirty,
-                writable,
-                pa_base,
-                data,
-            };
+            self.cells[base] = meta(tag, pa_base, dirty, writable);
         }
         self.stats = CacheStats {
             read_hits: d.u64()?,
@@ -413,23 +421,10 @@ impl Cache {
     /// Downgrade the line containing `va` to read-only (coherence), if
     /// present. Returns its contents if it was dirty (for write-back).
     pub fn downgrade(&mut self, va: u64) -> Option<Victim> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let base = self.line_base(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            line.writable = false;
-            if line.dirty {
-                line.dirty = false;
-                self.stats.writebacks += 1;
-                return Some(Victim {
-                    va: base,
-                    pa: line.pa_base,
-                    data: line.data,
-                });
-            }
-        }
-        None
+        let base = self.hit(va)?;
+        let m = self.cells[base];
+        self.cells[base] = m & !(WRITABLE | DIRTY);
+        (m & DIRTY != 0).then(|| self.victim(base, va & !(LINE_WORDS - 1)))
     }
 }
 

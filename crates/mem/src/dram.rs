@@ -6,6 +6,14 @@
 //! open row per internal bank: accesses to the open row pay the short CAS
 //! latency, others pay a precharge+activate penalty, and bursts then
 //! stream one word per cycle.
+//!
+//! Every modelled word is stored as one packed 16-byte cell
+//! (`MemWord::pack`): the 64 data bits, then the pointer tag, the
+//! sync bit and the 8 SECDED check bits. A zero word with its (zero)
+//! check bits packs to `0`, so the array comes from a zeroed allocation
+//! (`vec![0u128; n]`), which the allocator serves with fresh zero pages
+//! on demand: memory a program never touches is never faulted in or
+//! written, and building a large machine costs nothing per idle word.
 
 use crate::secded::{decode, encode, Decoded};
 use mm_faults::{CkptError, Dec, Enc};
@@ -44,6 +52,28 @@ impl MemWord {
             word,
             sync,
             ecc: encode(word.bits()),
+        }
+    }
+
+    /// The word as one storage cell: data bits in 0..64, the pointer
+    /// tag at 64, the sync bit at 65 and the check bits in 66..74.
+    /// `MemWord::new(Word::ZERO)` packs to `0`.
+    #[must_use]
+    pub(crate) fn pack(self) -> u128 {
+        u128::from(self.word.bits())
+            | u128::from(self.word.is_pointer()) << 64
+            | u128::from(self.sync) << 65
+            | u128::from(self.ecc) << 66
+    }
+
+    /// The inverse of [`MemWord::pack`].
+    #[must_use]
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn unpack(cell: u128) -> MemWord {
+        MemWord {
+            word: Word::from_raw(cell as u64, cell >> 64 & 1 != 0),
+            sync: cell >> 65 & 1 != 0,
+            ecc: (cell >> 66) as u8,
         }
     }
 }
@@ -105,14 +135,16 @@ pub struct SdramStats {
 #[derive(Debug, Clone)]
 pub struct Sdram {
     cfg: SdramConfig,
-    words: Vec<MemWord>,
+    /// Packed [`MemWord`] cells.
+    words: Vec<u128>,
     open_rows: Vec<Option<u64>>,
     busy_until: u64,
     stats: SdramStats,
 }
 
 impl Sdram {
-    /// Build an SDRAM of the configured capacity, zero-filled.
+    /// Build an SDRAM of the configured capacity, zero-filled. The
+    /// array is a zeroed allocation: no page of it is touched here.
     ///
     /// # Panics
     ///
@@ -123,7 +155,7 @@ impl Sdram {
             cfg.banks > 0 && cfg.row_words > 0,
             "degenerate SDRAM geometry"
         );
-        let words = vec![MemWord::new(Word::ZERO); cfg.capacity_words as usize];
+        let words = vec![0u128; cfg.capacity_words as usize];
         let open_rows = vec![None; cfg.banks as usize];
         Sdram {
             cfg,
@@ -210,7 +242,7 @@ impl Sdram {
         let first = self.access_timing(now, addr, len);
         let last = first + self.cfg.burst_per_word * len.saturating_sub(1);
         for (i, slot) in out.iter_mut().enumerate() {
-            let cell = self.words[addr as usize + i];
+            let cell = MemWord::unpack(self.words[addr as usize + i]);
             *slot = match decode(cell.word.bits(), cell.ecc) {
                 Decoded::Clean(_) => Some(cell),
                 Decoded::Corrected { data, .. } => {
@@ -221,7 +253,7 @@ impl Sdram {
                         ecc: encode(data),
                     };
                     // Scrub the corrected word back to the array.
-                    self.words[addr as usize + i] = repaired;
+                    self.words[addr as usize + i] = repaired.pack();
                     Some(repaired)
                 }
                 Decoded::DoubleError => {
@@ -247,9 +279,7 @@ impl Sdram {
         );
         let first = self.access_timing(now, addr, words.len() as u64);
         for (i, w) in words.iter().enumerate() {
-            let mut cell = *w;
-            cell.ecc = encode(cell.word.bits());
-            self.words[addr as usize + i] = cell;
+            self.poke(addr + i as u64, *w);
         }
         first + self.cfg.burst_per_word * (words.len() as u64).saturating_sub(1)
     }
@@ -257,21 +287,18 @@ impl Sdram {
     /// Zero-time backdoor read for loaders, debuggers and tests.
     #[must_use]
     pub fn peek(&self, addr: u64) -> MemWord {
-        self.words[addr as usize]
+        MemWord::unpack(self.words[addr as usize])
     }
 
     /// Zero-time backdoor write for loaders, debuggers and tests.
     pub fn poke(&mut self, addr: u64, w: MemWord) {
-        let mut cell = w;
-        cell.ecc = encode(cell.word.bits());
-        self.words[addr as usize] = cell;
+        let ecc = encode(w.word.bits());
+        self.words[addr as usize] = MemWord { ecc, ..w }.pack();
     }
 
     /// Flip a stored data bit (fault injection for the SECDED tests).
     pub fn inject_bit_flip(&mut self, addr: u64, bit: u32) {
-        let cell = &mut self.words[addr as usize];
-        let flipped = cell.word.bits() ^ (1u64 << bit);
-        cell.word = Word::from_raw(flipped, cell.word.is_pointer());
+        self.words[addr as usize] ^= u128::from(1u64 << bit);
         // Deliberately do NOT recompute ECC: that's the point.
     }
 
@@ -282,11 +309,12 @@ impl Sdram {
         e.u64(self.cfg.capacity_words);
         let mut i = 0usize;
         while i < self.words.len() {
-            let w = self.words[i];
+            let cell = self.words[i];
             let mut run = 1usize;
-            while i + run < self.words.len() && self.words[i + run] == w {
+            while i + run < self.words.len() && self.words[i + run] == cell {
                 run += 1;
             }
+            let w = MemWord::unpack(cell);
             e.u64(run as u64);
             e.u64(w.word.bits());
             e.bool(w.word.is_pointer());
@@ -322,8 +350,9 @@ impl Sdram {
     ///
     /// # Errors
     ///
-    /// [`CkptError`] on truncated input or a geometry mismatch (the
-    /// checkpoint came from a differently-sized SDRAM).
+    /// [`CkptError`] on truncated input, a geometry mismatch (the
+    /// checkpoint came from a differently-sized SDRAM) or runs that do
+    /// not tile the array.
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let cap = d.u64()?;
         if cap != self.cfg.capacity_words {
@@ -334,7 +363,7 @@ impl Sdram {
         }
         let mut i = 0usize;
         loop {
-            let run = d.u64()? as usize;
+            let run = d.u64()?;
             if run == 0 {
                 break;
             }
@@ -347,11 +376,13 @@ impl Sdram {
                 sync,
                 ecc,
             };
-            if i + run > self.words.len() {
-                return Err(CkptError("SDRAM runs overflow the array".into()));
-            }
-            self.words[i..i + run].fill(w);
-            i += run;
+            let end = usize::try_from(run)
+                .ok()
+                .and_then(|run| i.checked_add(run))
+                .filter(|&end| end <= self.words.len())
+                .ok_or_else(|| CkptError("SDRAM runs overflow the array".into()))?;
+            self.words[i..end].fill(w.pack());
+            i = end;
         }
         if i != self.words.len() {
             return Err(CkptError(format!(
@@ -385,12 +416,62 @@ impl Sdram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> Sdram {
         Sdram::new(SdramConfig {
             capacity_words: 4096,
             ..SdramConfig::default()
         })
+    }
+
+    /// The zeroed allocation is a valid array only because a zero word
+    /// with its check bits packs to all-zero.
+    #[test]
+    fn zero_word_packs_to_zero() {
+        assert_eq!(MemWord::new(Word::ZERO).pack(), 0);
+        assert_eq!(
+            Sdram::new(SdramConfig::default()).peek(12345),
+            MemWord::new(Word::ZERO)
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn pack_unpack_round_trips(
+            (bits, tag, sync, ecc) in (any::<u64>(), any::<bool>(), any::<bool>(), any::<u8>())
+        ) {
+            let w = MemWord { word: Word::from_raw(bits, tag), sync, ecc };
+            prop_assert_eq!(MemWord::unpack(w.pack()), w);
+        }
+    }
+
+    /// A crafted run length must not overflow the array index.
+    #[test]
+    fn load_state_rejects_huge_runs() {
+        let mut d = Sdram::new(SdramConfig {
+            capacity_words: 16,
+            ..SdramConfig::default()
+        });
+        for first in [1, 0] {
+            let mut e = Enc::new();
+            e.u64(16);
+            if first == 1 {
+                // A valid first run moves the cursor off zero.
+                e.u64(1);
+                e.u64(0);
+                e.bool(false);
+                e.bool(false);
+                e.u8(0);
+            }
+            e.u64(u64::MAX);
+            e.u64(0);
+            e.bool(false);
+            e.bool(false);
+            e.u8(0);
+            let bytes = e.finish();
+            assert!(d.load_state(&mut Dec::new(&bytes)).is_err());
+        }
     }
 
     #[test]
